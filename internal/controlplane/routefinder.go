@@ -9,6 +9,7 @@ import (
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/router"
+	"github.com/rtcl/drtp/internal/routing"
 	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/transport"
 )
@@ -58,8 +59,13 @@ type RouteFinder struct {
 	log *slog.Logger
 
 	mu sync.Mutex
-	// view is the link-state snapshot; guarded by mu.
-	view *netView
+	// view is the link-state snapshot mirrored from router adverts;
+	// guarded by mu.
+	view *routing.View
+	// excl and dead are a query's excluded nodes and the links touching
+	// them, the routing kernel's dead set; guarded by mu.
+	excl []bool
+	dead []bool
 	// unsched marks draining nodes excluded from new routes; guarded by mu.
 	unsched map[graph.NodeID]bool
 	// down marks dead nodes; cleared when a node's own advert arrives
@@ -83,7 +89,9 @@ func NewRouteFinder(cfg RouteFinderConfig, ep transport.Endpoint) (*RouteFinder,
 		cfg:     cfg,
 		ep:      ep,
 		log:     cfg.Logger.With("service", "routefinder"),
-		view:    newNetView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme),
+		view:    routing.NewView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme == router.PLSR),
+		excl:    make([]bool, cfg.Graph.NumNodes()),
+		dead:    make([]bool, cfg.Graph.NumLinks()),
 		unsched: make(map[graph.NodeID]bool),
 		down:    make(map[graph.NodeID]bool),
 		stop:    make(chan struct{}),
@@ -113,7 +121,7 @@ func (rf *RouteFinder) Close() error {
 func (rf *RouteFinder) Synced() bool {
 	rf.mu.Lock()
 	defer rf.mu.Unlock()
-	return rf.view.synced()
+	return rf.view.Origins() >= rf.cfg.Graph.NumNodes()
 }
 
 // Excluded reports whether a node is currently excluded from new routes
@@ -168,7 +176,7 @@ func (rf *RouteFinder) dispatch(env proto.Envelope) {
 // direct evidence the origin is alive again after a declared death.
 func (rf *RouteFinder) handleLSUpdate(m proto.LSUpdate) {
 	rf.mu.Lock()
-	fresh := rf.view.apply(m)
+	fresh := rf.view.Update(m)
 	revived := fresh && rf.down[m.Origin]
 	if revived {
 		delete(rf.down, m.Origin)
@@ -179,38 +187,53 @@ func (rf *RouteFinder) handleLSUpdate(m proto.LSUpdate) {
 	}
 }
 
-// handleRouteQuery computes routes and replies to the requester. The
-// exclusion set is the union of the query's and the service's own
-// (draining plus dead nodes).
+// handleRouteQuery answers a route query to the requester.
 func (rf *RouteFinder) handleRouteQuery(from graph.NodeID, m proto.RouteQuery) {
-	excluded := make(map[graph.NodeID]bool)
 	rf.mu.Lock()
-	for n := range rf.unsched {
-		excluded[n] = true
-	}
-	for n := range rf.down {
-		excluded[n] = true
-	}
-	for _, n := range m.Exclude {
-		excluded[n] = true
-	}
-	reply := proto.RouteReply{ID: m.ID}
-	switch {
-	case m.Src < 0 || int(m.Src) >= rf.cfg.Graph.NumNodes() ||
-		m.Dst < 0 || int(m.Dst) >= rf.cfg.Graph.NumNodes() || m.Src == m.Dst:
-		reply.Reason = "bad-endpoints"
-	case excluded[m.Src] || excluded[m.Dst]:
-		reply.Reason = "endpoint-excluded"
-	default:
-		primary, backups, reason := rf.view.routes(m.Src, m.Dst, rf.cfg.Backups, excluded)
-		if reason != "" {
-			reply.Reason = reason
-		} else {
-			reply.OK = true
-			reply.Primary = primary
-			reply.Backups = backups
-		}
-	}
+	reply := rf.routeLocked(m)
 	rf.mu.Unlock()
 	_ = rf.ep.Send(from, reply)
+}
+
+// routeLocked computes a query's routes on the shared routing kernel. The
+// excluded nodes are the union of the query's and the service's own
+// (draining plus dead nodes); no route touches one. Callers must hold
+// rf.mu.
+func (rf *RouteFinder) routeLocked(m proto.RouteQuery) proto.RouteReply {
+	g := rf.cfg.Graph
+	reply := proto.RouteReply{ID: m.ID}
+	if m.Src < 0 || int(m.Src) >= g.NumNodes() || m.Dst < 0 || int(m.Dst) >= g.NumNodes() || m.Src == m.Dst {
+		reply.Reason = "bad-endpoints"
+		return reply
+	}
+	for n := range rf.excl {
+		rf.excl[n] = rf.unsched[graph.NodeID(n)] || rf.down[graph.NodeID(n)]
+	}
+	for _, n := range m.Exclude {
+		if n >= 0 && int(n) < len(rf.excl) {
+			rf.excl[n] = true
+		}
+	}
+	if rf.excl[m.Src] || rf.excl[m.Dst] {
+		reply.Reason = "endpoint-excluded"
+		return reply
+	}
+	for l := range rf.dead {
+		lk := g.Link(graph.LinkID(l))
+		rf.dead[l] = rf.excl[lk.From] || rf.excl[lk.To]
+	}
+	primary, backups := rf.view.Routes(m.Src, m.Dst, rf.cfg.Backups, rf.dead)
+	switch {
+	case primary.Empty():
+		reply.Reason = "no-route"
+	case len(backups) == 0:
+		reply.Reason = "no-backup"
+	default:
+		reply.OK = true
+		reply.Primary = primary.Nodes(g)
+		for _, b := range backups {
+			reply.Backups = append(reply.Backups, b.Nodes(g))
+		}
+	}
+	return reply
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"github.com/rtcl/drtp/internal/drtp"
+	"github.com/rtcl/drtp/internal/graph"
+	"github.com/rtcl/drtp/internal/routing"
 )
 
 func TestFailureRecoveredAndNoBackup(t *testing.T) {
@@ -158,9 +160,15 @@ func TestSweepFailuresAndFaultTolerance(t *testing.T) {
 	}
 }
 
+// routePrimary selects a primary the way every link-state scheme does.
+func routePrimary(net *drtp.Network, src, dst graph.NodeID) (graph.Path, error) {
+	route, err := routing.NewNoBackup().Route(net, drtp.Request{Src: src, Dst: dst})
+	return route.Primary, err
+}
+
 func TestRoutePrimaryMinHop(t *testing.T) {
 	net := thetaNetwork(t, 10)
-	p, err := net.RoutePrimary(0, 1)
+	p, err := routePrimary(net, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +182,7 @@ func TestRoutePrimaryMinHop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p, err = net.RoutePrimary(0, 1)
+	p, err = routePrimary(net, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

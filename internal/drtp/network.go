@@ -169,6 +169,10 @@ func (n *Network) UnitBW() int { return n.db.UnitBW() }
 // LinkFailed reports whether link l is marked persistently failed.
 func (n *Network) LinkFailed(l graph.LinkID) bool { return n.failed[l] }
 
+// Failed returns the dense per-link failure flags, indexed by LinkID: the
+// dead set of the routing kernel. Callers must not modify it.
+func (n *Network) Failed() []bool { return n.failed }
+
 // FailLink marks a unidirectional link persistently failed: routing and
 // flooding exclude it until RestoreLink.
 func (n *Network) FailLink(l graph.LinkID) {
@@ -207,51 +211,3 @@ func (n *Network) NumFailedLinks() int { return n.numFailed }
 // schemes and failure evaluation share it; a Network handles one
 // operation at a time, so no synchronization is involved.
 func (n *Network) Scratch() *RouteScratch { return &n.scratch }
-
-// PrimaryCost is the link-cost function shared by the link-state schemes'
-// primary routing: minimum hops over live links that can admit a new
-// primary reservation.
-func (n *Network) PrimaryCost() graph.CostFunc {
-	db := n.db
-	unit := db.UnitBW()
-	return func(l graph.LinkID) float64 {
-		if n.failed[l] || db.AvailableForPrimary(l) < unit {
-			return graph.Unreachable
-		}
-		return 1
-	}
-}
-
-// RoutePrimary selects a minimum-hop feasible primary route, the primary
-// selection used by the link-state schemes. It reads link state through
-// a single snapshot and reuses the network's Dijkstra scratch, so a
-// route computation costs one lock acquisition and one Path allocation.
-func (n *Network) RoutePrimary(src, dst graph.NodeID) (graph.Path, error) {
-	snap := n.db.SnapshotInto(&n.scratch.Snap)
-	unit := n.db.UnitBW()
-	cost := func(l graph.LinkID) float64 {
-		if n.failed[l] || snap.Free[l] < unit {
-			return graph.Unreachable
-		}
-		return 1
-	}
-	p, total := n.scratch.Graph.ShortestPath(n.g, src, dst, cost)
-	if total == graph.Unreachable {
-		return graph.Path{}, ErrNoRoute
-	}
-	return p, nil
-}
-
-// RoutePrimaryBounded is RoutePrimary under a QoS hop bound (maxHops <= 0
-// means unbounded). Minimum-hop routing already minimizes delay, so the
-// bound is a feasibility check.
-func (n *Network) RoutePrimaryBounded(src, dst graph.NodeID, maxHops int) (graph.Path, error) {
-	p, err := n.RoutePrimary(src, dst)
-	if err != nil {
-		return graph.Path{}, err
-	}
-	if maxHops > 0 && p.Hops() > maxHops {
-		return graph.Path{}, ErrNoRoute
-	}
-	return p, nil
-}

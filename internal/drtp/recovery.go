@@ -130,11 +130,20 @@ func (m *Manager) applyFailure(hits func(graph.Path) bool, link int) RecoveryOut
 	return out
 }
 
-// rerouteConnection performs reactive recovery: a fresh primary route is
-// reserved from free capacity and the old one released.
+// rerouteConnection performs reactive recovery: a fresh minimum-hop
+// primary route over live links is reserved from free capacity and the
+// old one released.
 func (m *Manager) rerouteConnection(c *Connection) bool {
-	fresh, err := m.net.RoutePrimary(c.Src, c.Dst)
-	if err != nil {
+	sc := m.net.Scratch()
+	free := m.net.db.SnapshotInto(&sc.Snap).Free
+	unit := m.net.UnitBW()
+	fresh, total := sc.Graph.ShortestPath(m.net.g, c.Src, c.Dst, func(l graph.LinkID) float64 {
+		if m.net.failed[l] || free[l] < unit {
+			return graph.Unreachable
+		}
+		return 1
+	})
+	if total == graph.Unreachable {
 		return false
 	}
 	db := m.net.DB()

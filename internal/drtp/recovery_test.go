@@ -158,10 +158,10 @@ func TestRestoreLink(t *testing.T) {
 	if !net.LinkFailed(l01) || net.NumFailedLinks() != 1 {
 		t.Fatal("FailLink did not register")
 	}
-	if _, err := net.RoutePrimary(0, 1); err != nil {
+	if _, err := routePrimary(net, 0, 1); err != nil {
 		t.Fatal("routing should detour, not fail")
 	}
-	p, _ := net.RoutePrimary(0, 1)
+	p, _ := routePrimary(net, 0, 1)
 	if p.Contains(l01) {
 		t.Fatal("primary routed over failed link")
 	}
@@ -169,7 +169,7 @@ func TestRestoreLink(t *testing.T) {
 	if net.LinkFailed(l01) || net.NumFailedLinks() != 0 {
 		t.Fatal("RestoreLink did not clear")
 	}
-	p, _ = net.RoutePrimary(0, 1)
+	p, _ = routePrimary(net, 0, 1)
 	if !p.Contains(l01) {
 		t.Fatal("restored link unused")
 	}

@@ -10,8 +10,8 @@ import (
 	"github.com/rtcl/drtp/internal/lsdb"
 )
 
-// This file is the deterministic binary wire codec. Unlike gob, the
-// encoding is byte-stable across processes and Go versions: integers are
+// This file is the deterministic binary wire codec. The encoding is
+// byte-stable across processes and Go versions: integers are
 // varints (zigzag for signed), strings and byte slices are length-
 // prefixed, and repeated fields are count-prefixed. Every message type
 // implements encoding.BinaryMarshaler/BinaryUnmarshaler, and the drtplint
@@ -566,9 +566,9 @@ func marshalMsg(m Message) ([]byte, error) {
 	return nil, fmt.Errorf("proto: no wire codec for message type %T", m)
 }
 
-// unmarshalMsg decodes a tagged payload into the matching value type (the
-// same dynamic types the gob path produces, so type switches downstream
-// are unaffected).
+// unmarshalMsg decodes a tagged payload into the matching value type, the
+// same dynamic type the in-memory transport delivers, so type switches
+// downstream see one form.
 func unmarshalMsg(tag byte, payload []byte) (Message, error) {
 	switch tag {
 	case tagHello:

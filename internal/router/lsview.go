@@ -1,11 +1,9 @@
 package router
 
 import (
-	"math"
-
-	"github.com/rtcl/drtp/internal/bitvec"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/proto"
+	"github.com/rtcl/drtp/internal/routing"
 )
 
 // localLinks returns the IDs of this node's outgoing links.
@@ -31,9 +29,10 @@ func (r *Router) advertise() {
 	r.mySeq++
 	update := proto.LSUpdate{Origin: r.cfg.Node, Seq: r.mySeq}
 	for _, l := range r.localLinks() {
-		update.Links = append(update.Links, r.advertForLocked(l))
+		a := routing.Advert(r.db, l, r.downNbr[r.g.Link(l).To])
+		update.Links = append(update.Links, a)
 		// Local view mirrors local truth immediately.
-		r.applyAdvertLocked(update.Links[len(update.Links)-1])
+		r.view.Apply(a)
 	}
 	nbrs := r.g.Neighbors(r.cfg.Node)
 	r.mu.Unlock()
@@ -46,64 +45,17 @@ func (r *Router) advertise() {
 	}
 }
 
-// advertForLocked summarizes one local link. Links to failed neighbors
-// advertise zero bandwidth so remote routing excludes them.
-// Callers must hold r.mu.
-func (r *Router) advertForLocked(l graph.LinkID) proto.LinkAdvert {
-	if r.downNbr[r.g.Link(l).To] {
-		return proto.LinkAdvert{
-			Link: l,
-			CV:   make([]byte, (r.g.NumLinks()+7)/8),
-		}
-	}
-	return proto.LinkAdvert{
-		Link:        l,
-		AvailPrim:   r.db.AvailableForPrimary(l),
-		AvailBackup: r.db.AvailableForBackup(l),
-		Norm:        r.db.APLVNorm(l),
-		// AppendCV writes the wire form straight from the database,
-		// skipping the intermediate bitvec.Vector a CV(l).Bytes() chain
-		// would allocate.
-		CV: r.db.AppendCV(l, nil),
-	}
-}
-
-// applyAdvertLocked installs a link summary into the view, reloading the
-// existing mirrored Conflict Vector in place when one is already there
-// (steady-state adverts then cost zero allocations). Callers must hold
-// r.mu.
-func (r *Router) applyAdvertLocked(a proto.LinkAdvert) {
-	if int(a.Link) >= len(r.view) {
-		return
-	}
-	v := &r.view[a.Link]
-	v.availPrim = a.AvailPrim
-	v.availBackup = a.AvailBackup
-	v.norm = a.Norm
-	if v.cv != nil && v.cv.Len() == r.g.NumLinks() {
-		v.cv.SetBytes(a.CV)
-	} else {
-		v.cv = bitvec.FromBytes(r.g.NumLinks(), a.CV)
-	}
-}
-
-// handleLSUpdate installs fresh updates and re-floods them.
+// handleLSUpdate installs fresh updates and re-floods them. An origin
+// advertises only its own links, so remote adverts never overwrite this
+// node's local truth.
 func (r *Router) handleLSUpdate(from graph.NodeID, m proto.LSUpdate) {
 	if m.Origin == r.cfg.Node {
 		return
 	}
 	r.mu.Lock()
-	if m.Seq <= r.seqSeen[m.Origin] {
+	if !r.view.Update(m) {
 		r.mu.Unlock()
 		return
-	}
-	r.seqSeen[m.Origin] = m.Seq
-	for _, a := range m.Links {
-		// Never let remote adverts overwrite local truth.
-		if r.g.Link(a.Link).From == r.cfg.Node {
-			continue
-		}
-		r.applyAdvertLocked(a)
 	}
 	nbrs := r.g.Neighbors(r.cfg.Node)
 	r.mu.Unlock()
@@ -114,59 +66,13 @@ func (r *Router) handleLSUpdate(from graph.NodeID, m proto.LSUpdate) {
 	}
 }
 
-// routePrimaryLocked computes a minimum-hop feasible primary route from the
-// view. Callers must hold r.mu.
-func (r *Router) routePrimaryLocked(dst graph.NodeID) graph.Path {
-	unit := r.cfg.UnitBW
-	cost := func(l graph.LinkID) float64 {
-		if r.view[l].availPrim < unit {
-			return graph.Unreachable
-		}
-		if r.downNbr[r.g.Link(l).To] && r.g.Link(l).From == r.cfg.Node {
-			return graph.Unreachable
-		}
-		return 1
+// routesLocked computes the primary and backup routes for a new
+// connection to dst under the current view: the shared routing kernel,
+// never crossing a link to a neighbour declared down. The primary is
+// empty when none is feasible. Callers must hold r.mu.
+func (r *Router) routesLocked(dst graph.NodeID) (graph.Path, []graph.Path) {
+	for _, l := range r.localLinks() {
+		r.dead[l] = r.downNbr[r.g.Link(l).To]
 	}
-	p, total := graph.ShortestPath(r.g, r.cfg.Node, dst, cost)
-	if math.IsInf(total, 1) {
-		return graph.Path{}
-	}
-	return p
-}
-
-// routeBackupLocked computes the scheme's backup route given the established
-// primary, penalizing the avoid set (primary plus earlier backups).
-// Callers must hold r.mu.
-func (r *Router) routeBackupLocked(dst graph.NodeID, primary graph.Path, avoid map[graph.LinkID]struct{}) graph.Path {
-	const (
-		q   = 1e6
-		eps = 1e-3
-	)
-	unit := r.cfg.UnitBW
-	lset := primary.Links()
-	cost := func(l graph.LinkID) float64 {
-		v := &r.view[l]
-		c := eps
-		switch r.cfg.Scheme {
-		case PLSR:
-			c += float64(v.norm)
-		default:
-			for _, pl := range lset {
-				if v.cv.Get(int(pl)) {
-					c++
-				}
-			}
-		}
-		if _, ok := avoid[l]; ok {
-			c += q
-		} else if v.availBackup < unit {
-			c += q
-		}
-		return c
-	}
-	p, total := graph.ShortestPath(r.g, r.cfg.Node, dst, cost)
-	if math.IsInf(total, 1) {
-		return graph.Path{}
-	}
-	return p
+	return r.view.Routes(r.cfg.Node, dst, r.cfg.Backups, r.dead)
 }

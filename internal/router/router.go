@@ -27,11 +27,11 @@ import (
 	"sync"
 	"time"
 
-	"github.com/rtcl/drtp/internal/bitvec"
 	"github.com/rtcl/drtp/internal/graph"
 	"github.com/rtcl/drtp/internal/lsdb"
 	"github.com/rtcl/drtp/internal/proto"
 	"github.com/rtcl/drtp/internal/rng"
+	"github.com/rtcl/drtp/internal/routing"
 	"github.com/rtcl/drtp/internal/telemetry"
 	"github.com/rtcl/drtp/internal/transport"
 )
@@ -187,14 +187,6 @@ type transitRec struct {
 	trace uint64
 }
 
-// linkView is the router's view of one (possibly remote) link.
-type linkView struct {
-	availPrim   int
-	availBackup int
-	norm        int
-	cv          *bitvec.Vector
-}
-
 type pendingKey struct {
 	conn    lsdb.ConnID
 	channel proto.ChannelKind
@@ -253,9 +245,10 @@ type Router struct {
 	mu sync.Mutex
 	db *lsdb.DB // reservations for this node's outgoing links; has its own lock
 	// view is the advertised state of every link; guarded by mu.
-	view []linkView
-	// seqSeen records the highest LS sequence per origin; guarded by mu.
-	seqSeen map[graph.NodeID]uint64
+	view *routing.View
+	// dead marks this node's links to neighbours declared down, the
+	// routing kernel's dead set; guarded by mu.
+	dead []bool
 	// mySeq numbers this router's own adverts; guarded by mu.
 	mySeq uint64
 	// dirty marks the local view changed since the last advert; guarded by mu.
@@ -343,8 +336,8 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		ep:          ep,
 		g:           cfg.Graph,
 		db:          db,
-		view:        make([]linkView, cfg.Graph.NumLinks()),
-		seqSeen:     make(map[graph.NodeID]uint64),
+		view:        routing.NewView(cfg.Graph, cfg.Capacity, cfg.UnitBW, cfg.Scheme == PLSR),
+		dead:        make([]bool, cfg.Graph.NumLinks()),
 		pending:     make(map[pendingKey]pendingSetup),
 		pendingAct:  make(map[lsdb.ConnID]pendingActivation),
 		seenSig:     make(map[dedupKey]dedupRec),
@@ -377,14 +370,6 @@ func New(cfg Config, ep transport.Endpoint) (*Router, error) {
 		r.mHopBackup = hops.With("backup")
 		r.mHopActivate = hops.With("activate")
 		r.mHopTeardown = hops.With("teardown")
-	}
-	// Optimistic initial view: every link empty until adverts arrive.
-	for i := range r.view {
-		r.view[i] = linkView{
-			availPrim:   cfg.Capacity,
-			availBackup: cfg.Capacity,
-			cv:          bitvec.New(cfg.Graph.NumLinks()),
-		}
 	}
 	now := time.Now()
 	for _, nbr := range r.g.Neighbors(cfg.Node) {
@@ -438,7 +423,7 @@ func (r *Router) Synced() bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.seqSeen) > 0
+	return r.view.Origins() > 0
 }
 
 // View reports this router's link-state view of one link: the bandwidth
@@ -447,8 +432,7 @@ func (r *Router) Synced() bool {
 func (r *Router) View(l graph.LinkID) (availPrim, availBackup, norm int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v := &r.view[l]
-	return v.availPrim, v.availBackup, v.norm
+	return r.view.Free[l], r.view.AvailBackup[l], r.view.Norm[l]
 }
 
 // loop is the router's single processing goroutine: inbound messages,

@@ -675,3 +675,26 @@ func TestEstablishSurvivesModerateLoss(t *testing.T) {
 		t.Fatal("loss injection inactive")
 	}
 }
+
+func TestBackupAvoidsDownLink(t *testing.T) {
+	// A square 0-2-1 / 0-3-1 with 0->2 declared down: the backup must not
+	// cross the dead link; it overlaps the primary as a last resort
+	// instead, as the simulator's backup does.
+	g, err := topology.FromEdgeList(4, [][2]int{{0, 2}, {2, 1}, {0, 3}, {3, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(t, g, 10)
+	c.Router(0).FailLink(2)
+	info, err := c.Router(0).Establish(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range info.Backups {
+		for i := 0; i+1 < len(b); i++ {
+			if b[i] == 0 && b[i+1] == 2 {
+				t.Fatalf("backup %v crosses the down link 0->2", b)
+			}
+		}
+	}
+}

@@ -39,7 +39,7 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
 		r.mu.Unlock()
 		return ConnInfo{}, fmt.Errorf("router: connection %d already exists", id)
 	}
-	primary := r.routePrimaryLocked(dst)
+	primary, routes := r.routesLocked(dst)
 	r.mu.Unlock()
 	// The span context rides inside every signalling packet of this
 	// connection so remote hops stamp the same trace ID; derived only
@@ -60,36 +60,20 @@ func (r *Router) Establish(id lsdb.ConnID, dst graph.NodeID) (ConnInfo, error) {
 	}
 	r.tracer.PrimarySetup(r.schemeName, trace, int64(id), primary.Hops())
 
-	// Route and register up to cfg.Backups backup channels: the first may
-	// overlap the primary as a last resort, later ones must be disjoint
-	// from everything established so far.
+	// Register the routed backups in order; the first rejection ends the
+	// attempt with whatever registered so far.
 	var (
 		backups  []graph.Path
 		firstErr error
 	)
-	avoid := primary.LinkSet()
-	for k := 0; k < r.cfg.Backups; k++ {
-		r.mu.Lock()
-		backup := r.routeBackupLocked(dst, primary, avoid)
-		r.mu.Unlock()
-		if backup.Empty() {
-			break
-		}
-		if k > 0 && (backup.SharedLinks(primary) > 0 || overlapsAnyPath(backup, backups)) {
-			break
-		}
+	for _, backup := range routes {
 		if err := r.setupChannel(id, proto.Backup, backup, primary.Links(), trace); err != nil {
 			r.tracer.BackupRegister(r.schemeName, trace, int64(id), backup.Hops(), "rejected")
-			if firstErr == nil {
-				firstErr = err
-			}
+			firstErr = err
 			break
 		}
 		r.tracer.BackupRegister(r.schemeName, trace, int64(id), backup.Hops(), "")
 		backups = append(backups, backup)
-		for _, l := range backup.Links() {
-			avoid[l] = struct{}{}
-		}
 	}
 	if len(backups) == 0 {
 		// Retransmit the rollback sweep only when the backup failure was a
@@ -219,16 +203,6 @@ func (r *Router) pathFromNodes(nodes []graph.NodeID, dst graph.NodeID) (graph.Pa
 		return graph.Path{}, fmt.Errorf("route %v does not end at node %d", nodes, dst)
 	}
 	return graph.PathFromNodes(r.g, nodes)
-}
-
-// overlapsAnyPath reports whether p shares a link with any of the paths.
-func overlapsAnyPath(p graph.Path, paths []graph.Path) bool {
-	for _, other := range paths {
-		if p.SharedLinks(other) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Release terminates a connection originated at this router.

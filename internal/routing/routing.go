@@ -20,43 +20,19 @@ import (
 	"github.com/rtcl/drtp/internal/rng"
 )
 
-const (
-	// Q is the paper's "very large constant" penalizing links that overlap
-	// the connection's primary or fail the bandwidth test. It dominates
-	// any achievable conflict metric but keeps such links usable as a
-	// last resort, exactly as in the paper.
-	Q = 1e6
-	// Epsilon is the paper's small positive constant (< 1) selecting the
-	// shortest route among candidates with equal conflict degree.
-	Epsilon = 1e-3
-)
+// metricFunc fills a dense per-link conflict-metric vector for one
+// request up front — one database pass instead of a call per link from
+// inside the Dijkstra cost callback — reusing dst. A nil return means the
+// metric is identically zero.
+type metricFunc func(db *lsdb.DB, snap *lsdb.Snapshot, primary graph.Path, dst []float64) []float64
 
-// BackupCoster produces, for one connection request, the link-cost metric
-// a link-state scheme uses to find the backup route. The primary path of
-// the connection has already been selected.
-type BackupCoster interface {
-	// Name returns the scheme identifier.
-	Name() string
-	// ConflictMetric returns the scheme's estimate of backup conflicts
-	// created by putting the backup on link l, given the primary's LSET.
-	ConflictMetric(db *lsdb.DB, l graph.LinkID, primary graph.Path) float64
-}
-
-// bulkCoster is the batch fast path of a BackupCoster: it fills a dense
-// per-link conflict-metric vector up front (one database lock) instead of
-// being called once per link from inside the Dijkstra cost callback. A
-// nil return means the metric is identically zero. The built-in costers
-// implement it; external costers fall back to per-link ConflictMetric.
-type bulkCoster interface {
-	conflictMetricsInto(db *lsdb.DB, snap *lsdb.Snapshot, primary graph.Path, dst []float64) []float64
-}
-
-// LinkState is a drtp.Scheme assembled from a BackupCoster: min-hop
-// primary, then Dijkstra over Q/metric/ε costs for each backup. By
-// default one backup is routed; WithBackupCount enables the paper's
-// "one or more backup channels".
+// LinkState is a drtp.Scheme over one conflict metric: min-hop primary,
+// then the shared backup kernel (Backups) for each backup. By default one
+// backup is routed; WithBackupCount enables the paper's "one or more
+// backup channels".
 type LinkState struct {
-	coster  BackupCoster
+	name    string
+	metric  metricFunc
 	backups int
 }
 
@@ -81,9 +57,8 @@ func (o backupCountOption) apply(s *LinkState) {
 // connection).
 func WithBackupCount(k int) Option { return backupCountOption(k) }
 
-// NewLinkState wraps a BackupCoster into a complete routing scheme.
-func NewLinkState(coster BackupCoster, opts ...Option) *LinkState {
-	s := &LinkState{coster: coster, backups: 1}
+func newLinkState(name string, metric metricFunc, opts []Option) *LinkState {
+	s := &LinkState{name: name, metric: metric, backups: 1}
 	for _, o := range opts {
 		o.apply(s)
 	}
@@ -91,38 +66,15 @@ func NewLinkState(coster BackupCoster, opts ...Option) *LinkState {
 }
 
 // Name implements drtp.Scheme.
-func (s *LinkState) Name() string { return s.coster.Name() }
+func (s *LinkState) Name() string { return s.name }
 
 // Route implements drtp.Scheme.
 func (s *LinkState) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) {
-	primary, err := net.RoutePrimaryBounded(req.Src, req.Dst, req.MaxHops)
+	primary, ls, err := routePrimary(net, req)
 	if err != nil {
 		return drtp.Route{}, err
 	}
-	route := drtp.Route{Primary: primary}
-	avoid := net.Scratch().AvoidFor(net.Graph().NumLinks())
-	for _, l := range primary.Links() {
-		avoid[l] = true
-	}
-	for k := 0; k < s.backups; k++ {
-		backup := s.routeBackup(net, primary, req, avoid, req.MaxHops)
-		if backup.Empty() {
-			break
-		}
-		// The first backup may overlap the primary as a last resort
-		// (the paper's Q semantics, needed on bridges). Additional
-		// backups must be fully disjoint from the primary and from each
-		// other — an overlapping extra backup protects nothing the
-		// earlier channels do not.
-		if k > 0 && (backup.SharedLinks(primary) > 0 || overlapsAny(backup, route.Backups)) {
-			break
-		}
-		route.Backups = append(route.Backups, backup)
-		for _, l := range backup.Links() {
-			avoid[l] = true
-		}
-	}
-	return route, nil
+	return drtp.Route{Primary: primary, Backups: s.backupsFor(net, req, primary, nil, s.backups, ls)}, nil
 }
 
 // RouteBackupsFor implements drtp.BackupRouter: it computes fresh backup
@@ -134,194 +86,72 @@ func (s *LinkState) RouteBackupsFor(net *drtp.Network, req drtp.Request, primary
 	if need <= 0 {
 		return nil
 	}
-	avoid := net.Scratch().AvoidFor(net.Graph().NumLinks())
-	for _, l := range primary.Links() {
-		avoid[l] = true
-	}
-	for _, b := range existing {
-		for _, l := range b.Links() {
-			avoid[l] = true
-		}
-	}
-	var out []graph.Path
-	for k := 0; k < need; k++ {
-		b := s.routeBackup(net, primary, req, avoid, req.MaxHops)
-		if b.Empty() {
-			break
-		}
-		// Overlapping routes are acceptable only as the sole protection.
-		if len(existing)+len(out) > 0 &&
-			(b.SharedLinks(primary) > 0 || overlapsAny(b, existing) || overlapsAny(b, out)) {
-			break
-		}
-		out = append(out, b)
-		for _, l := range b.Links() {
-			avoid[l] = true
-		}
-	}
-	return out
+	return s.backupsFor(net, req, primary, existing, need, linksOf(net))
 }
 
 var _ drtp.BackupRouter = (*LinkState)(nil)
 
-// routeBackup finds one backup route penalizing the avoid set with Q. A
-// positive maxHops constrains the search to the QoS delay bound. Link
-// state is read through one snapshot (and, for the built-in costers, one
-// dense metric vector), so the Dijkstra cost callback touches no locks.
-func (s *LinkState) routeBackup(net *drtp.Network, primary graph.Path, req drtp.Request, avoid []bool, maxHops int) graph.Path {
-	db := net.DB()
-	unit := net.UnitBW()
+// backupsFor fills the scheme's metric for primary and runs the shared
+// backup kernel under the request's QoS hop bound.
+func (s *LinkState) backupsFor(net *drtp.Network, req drtp.Request, primary graph.Path, have []graph.Path, want int, ls Links) []graph.Path {
 	sc := net.Scratch()
-	snap := db.SnapshotInto(&sc.Snap)
-	var cost graph.CostFunc
-	if bc, ok := s.coster.(bulkCoster); ok {
-		var metrics []float64
-		if ms := bc.conflictMetricsInto(db, snap, primary, sc.Metrics); ms != nil {
-			sc.Metrics = ms
-			metrics = ms
-		}
-		cost = func(l graph.LinkID) float64 {
-			if net.LinkFailed(l) {
-				return graph.Unreachable
-			}
-			c := Epsilon
-			if metrics != nil {
-				c += metrics[l]
-			}
-			if avoid[l] || snap.AvailBackup[l] < unit {
-				c += Q
-			}
-			return c
-		}
-	} else {
-		cost = func(l graph.LinkID) float64 {
-			if net.LinkFailed(l) {
-				return graph.Unreachable
-			}
-			c := Epsilon + s.coster.ConflictMetric(db, l, primary)
-			if avoid[l] || snap.AvailBackup[l] < unit {
-				c += Q
-			}
-			return c
-		}
+	if ms := s.metric(net.DB(), &sc.Snap, primary, sc.Metrics); ms != nil {
+		sc.Metrics = ms
+		ls.Metric = ms
 	}
-	var (
-		backup graph.Path
-		total  float64
-	)
-	if maxHops > 0 {
-		backup, total = sc.Graph.ShortestPathBounded(net.Graph(), req.Src, req.Dst, cost, maxHops)
-	} else {
-		backup, total = sc.Graph.ShortestPath(net.Graph(), req.Src, req.Dst, cost)
-	}
-	if total == graph.Unreachable {
-		return graph.Path{}
-	}
-	return backup
+	avoid := sc.AvoidFor(net.Graph().NumLinks())
+	return Backups(&sc.Graph, net.Graph(), req.Src, req.Dst, primary, have, want, ls, avoid, req.MaxHops)
 }
 
-// overlapsAny reports whether p shares a link with any of the paths.
-func overlapsAny(p graph.Path, paths []graph.Path) bool {
-	for _, other := range paths {
-		if p.SharedLinks(other) > 0 {
-			return true
-		}
+// linksOf snapshots the network's link state into its routing scratch
+// (one lock pass), with the persistently failed links as the dead set.
+func linksOf(net *drtp.Network) Links {
+	snap := net.DB().SnapshotInto(&net.Scratch().Snap)
+	return Links{Free: snap.Free, AvailBackup: snap.AvailBackup, Dead: net.Failed(), Unit: net.UnitBW()}
+}
+
+// routePrimary snapshots the network and selects req's primary: the
+// shared min-hop kernel under the request's QoS hop bound.
+func routePrimary(net *drtp.Network, req drtp.Request) (graph.Path, Links, error) {
+	ls := linksOf(net)
+	primary := Primary(&net.Scratch().Graph, net.Graph(), req.Src, req.Dst, ls, req.MaxHops)
+	if primary.Empty() {
+		return primary, ls, drtp.ErrNoRoute
 	}
-	return false
+	return primary, ls, nil
 }
 
-// PLSR is the probabilistic link-state scheme: the conflict metric is
-// ‖APLV_i‖₁, the only per-link scalar P-LSR requires routers to
-// disseminate. Minimizing the path sum maximizes the estimated probability
-// of successful backup activation (paper eq. 1–3).
-type PLSR struct{}
+// NewPLSR returns the probabilistic link-state scheme: the conflict
+// metric is ‖APLV_i‖₁, the only per-link scalar P-LSR requires routers to
+// disseminate. Minimizing the path sum maximizes the estimated
+// probability of successful backup activation (paper eq. 1–3).
+func NewPLSR(opts ...Option) *LinkState { return newLinkState("P-LSR", plsrMetric, opts) }
 
-var _ BackupCoster = PLSR{}
-
-// NewPLSR returns the P-LSR scheme.
-func NewPLSR(opts ...Option) *LinkState { return NewLinkState(PLSR{}, opts...) }
-
-// Name implements BackupCoster.
-func (PLSR) Name() string { return "P-LSR" }
-
-// ConflictMetric implements BackupCoster.
-func (PLSR) ConflictMetric(db *lsdb.DB, l graph.LinkID, _ graph.Path) float64 {
-	return float64(db.APLVNorm(l))
-}
-
-// conflictMetricsInto implements bulkCoster: the norms are already in the
-// snapshot, so this just widens them to float64.
-//
 //drtplint:hotpath
-func (PLSR) conflictMetricsInto(_ *lsdb.DB, snap *lsdb.Snapshot, _ graph.Path, dst []float64) []float64 {
-	n := len(snap.Norm)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i, v := range snap.Norm {
-		dst[i] = float64(v)
-	}
-	return dst
+func plsrMetric(_ *lsdb.DB, snap *lsdb.Snapshot, _ graph.Path, dst []float64) []float64 {
+	return normsInto(snap.Norm, dst)
 }
 
-// DLSR is the deterministic link-state scheme: the conflict metric is the
-// exact number of the primary's links whose existing backups traverse L_i,
-// read from the Conflict Vector: Σ_{L_j ∈ LSET(P_x)} c_{i,j}.
-type DLSR struct{}
+// NewDLSR returns the deterministic link-state scheme: the conflict
+// metric is the exact number of the primary's links whose existing
+// backups traverse L_i, read from the Conflict Vector:
+// Σ_{L_j ∈ LSET(P_x)} c_{i,j}.
+func NewDLSR(opts ...Option) *LinkState { return newLinkState("D-LSR", dlsrMetric, opts) }
 
-var _ BackupCoster = DLSR{}
-
-// NewDLSR returns the D-LSR scheme.
-func NewDLSR(opts ...Option) *LinkState { return NewLinkState(DLSR{}, opts...) }
-
-// Name implements BackupCoster.
-func (DLSR) Name() string { return "D-LSR" }
-
-// ConflictMetric implements BackupCoster.
-func (DLSR) ConflictMetric(db *lsdb.DB, l graph.LinkID, primary graph.Path) float64 {
-	conflicts := 0
-	for _, pl := range primary.Links() {
-		if db.CVBit(l, pl) {
-			conflicts++
-		}
-	}
-	return float64(conflicts)
-}
-
-// conflictMetricsInto implements bulkCoster: one locked pass over the
-// database replaces a CVBit call per (link, LSET entry) pair.
-//
 //drtplint:hotpath
-func (DLSR) conflictMetricsInto(db *lsdb.DB, _ *lsdb.Snapshot, primary graph.Path, dst []float64) []float64 {
+func dlsrMetric(db *lsdb.DB, _ *lsdb.Snapshot, primary graph.Path, dst []float64) []float64 {
 	return db.ConflictCountsInto(primary.Links(), dst)
 }
 
-// MinHopDisjoint is the conflict-blind baseline: the backup is simply the
-// shortest feasible path avoiding the primary's links, ignoring APLV/CV
-// information entirely. It isolates the value of conflict awareness.
-type MinHopDisjoint struct{}
-
-var _ BackupCoster = MinHopDisjoint{}
-
-// NewMinHopDisjoint returns the conflict-blind baseline scheme.
-func NewMinHopDisjoint(opts ...Option) *LinkState { return NewLinkState(MinHopDisjoint{}, opts...) }
-
-// Name implements BackupCoster.
-func (MinHopDisjoint) Name() string { return "MinHop" }
-
-// ConflictMetric implements BackupCoster.
-func (MinHopDisjoint) ConflictMetric(*lsdb.DB, graph.LinkID, graph.Path) float64 {
-	return 0
+// NewMinHopDisjoint returns the conflict-blind baseline: the backup is
+// simply the shortest feasible path avoiding the primary's links,
+// ignoring APLV/CV information entirely. It isolates the value of
+// conflict awareness.
+func NewMinHopDisjoint(opts ...Option) *LinkState {
+	return newLinkState("MinHop", noMetric, opts)
 }
 
-// conflictMetricsInto implements bulkCoster: a nil vector means the
-// metric is identically zero.
-//
-//drtplint:hotpath
-func (MinHopDisjoint) conflictMetricsInto(*lsdb.DB, *lsdb.Snapshot, graph.Path, []float64) []float64 {
-	return nil
-}
+func noMetric(*lsdb.DB, *lsdb.Snapshot, graph.Path, []float64) []float64 { return nil }
 
 // NoBackup establishes primary channels only. It is the baseline against
 // which the paper defines capacity overhead.
@@ -337,7 +167,7 @@ func (NoBackup) Name() string { return "NoBackup" }
 
 // Route implements drtp.Scheme.
 func (NoBackup) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) {
-	primary, err := net.RoutePrimaryBounded(req.Src, req.Dst, req.MaxHops)
+	primary, _, err := routePrimary(net, req)
 	if err != nil {
 		return drtp.Route{}, err
 	}
@@ -365,14 +195,11 @@ func (*Random) Name() string { return "Random" }
 
 // Route implements drtp.Scheme.
 func (r *Random) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) {
-	primary, err := net.RoutePrimaryBounded(req.Src, req.Dst, req.MaxHops)
+	primary, ls, err := routePrimary(net, req)
 	if err != nil {
 		return drtp.Route{}, err
 	}
-	db := net.DB()
-	unit := net.UnitBW()
 	sc := net.Scratch()
-	snap := db.SnapshotInto(&sc.Snap)
 	n := net.Graph().NumLinks()
 	onPrimary := sc.AvoidFor(n)
 	for _, l := range primary.Links() {
@@ -386,11 +213,11 @@ func (r *Random) Route(net *drtp.Network, req drtp.Request) (drtp.Route, error) 
 		jitter[i] = r.src.Float64()
 	}
 	cost := func(l graph.LinkID) float64 {
-		if net.LinkFailed(l) {
+		if ls.Dead[l] {
 			return graph.Unreachable
 		}
 		c := 1 + jitter[l]
-		if onPrimary[l] || snap.AvailBackup[l] < unit {
+		if onPrimary[l] || ls.AvailBackup[l] < ls.Unit {
 			c += Q
 		}
 		return c

@@ -71,11 +71,6 @@ func (s SLO) verdict(samples, over int64, observed time.Duration) SLOResult {
 	return res
 }
 
-// EvaluateHist evaluates the objective against a live latency histogram.
-func (s SLO) EvaluateHist(h *LatencyHist) SLOResult {
-	return s.verdict(h.Count(), h.CountOver(s.Threshold), h.Quantile(s.Percentile))
-}
-
 // EvaluateSamples evaluates the objective against raw latency samples in
 // seconds (e.g. reconstructed from a trace). The slice is not modified.
 func (s SLO) EvaluateSamples(samples []float64) SLOResult {
